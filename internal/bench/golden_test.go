@@ -28,7 +28,7 @@ import (
 // Regenerate (only for intentional behavior changes) with:
 //
 //	go test ./internal/bench -run TestGoldenAccessEngine -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden access-engine fixtures")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden access-engine and checkpoint fixtures")
 
 // goldenScale is a compact grid: big enough to exercise faulting, cache
 // filtering, aging, promotion/demotion and swap pressure, small enough to
