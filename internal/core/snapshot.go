@@ -71,6 +71,9 @@ func (mc *MultiClock) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegi
 	if hasRetries != (mc.retries != nil) {
 		return fmt.Errorf("core: snapshot retry tracking %v, policy %v", hasRetries, mc.retries != nil)
 	}
+	if !hasRetries && n != 0 {
+		return fmt.Errorf("core: snapshot has retry tracking off but carries %d retry entries", n)
+	}
 	for i := 0; i < n; i++ {
 		seq := dec.U64()
 		st := &retryState{
