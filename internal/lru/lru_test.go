@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"multiclock/internal/mem"
+	"multiclock/internal/snapcodec"
 )
 
 func anonPage() *mem.Page { return &mem.Page{Node: 0} }
@@ -455,5 +456,22 @@ func TestCheckConsistencyCleanAndCorrupt(t *testing.T) {
 	pages[2].Node = 3
 	if _, err := v.CheckConsistency(); err == nil {
 		t.Fatal("foreign-node page not detected")
+	}
+}
+
+// TestSnapshotSizeExact: SnapshotSize is the exact length SnapshotState
+// writes, so the machine's one Grow covers the whole LRU section.
+func TestSnapshotSizeExact(t *testing.T) {
+	v := NewVec(0)
+	for i := 0; i < 5; i++ {
+		v.Add(anonPage())
+	}
+	for i := 0; i < 3; i++ {
+		v.Add(filePage())
+	}
+	enc := snapcodec.NewEncoder()
+	v.SnapshotState(enc)
+	if got, want := enc.Len(), v.SnapshotSize(); got != want {
+		t.Fatalf("SnapshotState wrote %d bytes, SnapshotSize says %d", got, want)
 	}
 }

@@ -14,6 +14,15 @@ import (
 // mem page state, written head→tail per list so restore reproduces exact
 // CLOCK hand order.
 
+// SnapshotSize is the exact number of bytes SnapshotState encodes.
+func (v *Vec) SnapshotSize() int {
+	n := 8
+	for k := Kind(0); k < NumKinds; k++ {
+		n += 8 + v.lists[k].Len()*mem.PageRecordSize
+	}
+	return n
+}
+
 // SnapshotState encodes the vec: the scan counter, then every list with its
 // resident page records in head→tail order.
 func (v *Vec) SnapshotState(enc *snapcodec.Encoder) {

@@ -84,6 +84,11 @@ func (r *PageRegistry) Resolve(seq uint64) *mem.Page {
 // used = on-lists + shadow frames), so this section carries all live page
 // descriptors.
 func (m *Machine) SnapshotLRUState(enc *snapcodec.Encoder) {
+	size := 8
+	for _, v := range m.Vecs {
+		size += v.SnapshotSize()
+	}
+	enc.Grow(size)
 	enc.Int(len(m.Vecs))
 	for _, v := range m.Vecs {
 		v.SnapshotState(enc)
@@ -99,6 +104,10 @@ func (m *Machine) RestoreLRUState(dec *snapcodec.Decoder, reg *PageRegistry) err
 			return dec.Err()
 		}
 		return fmt.Errorf("machine: snapshot has %d LRU vectors, machine has %d", n, len(m.Vecs))
+	}
+	if len(reg.live) == 0 {
+		// Size the registry for as many page records as the section holds.
+		reg.live = make(map[uint64]*mem.Page, dec.Remaining()/mem.PageRecordSize)
 	}
 	var relinkErr error
 	newPage := func(d *snapcodec.Decoder) *mem.Page {

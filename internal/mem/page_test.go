@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"multiclock/internal/snapcodec"
 )
 
 func TestPageFlagsHas(t *testing.T) {
@@ -218,5 +220,13 @@ func TestTierString(t *testing.T) {
 	}
 	if Tier(9).String() != "Tier(9)" {
 		t.Fatal("unknown tier name")
+	}
+}
+
+func TestEncodePageRecordSize(t *testing.T) {
+	enc := snapcodec.NewEncoder()
+	EncodePage(enc, &Page{Seq: 1, Node: 1, Frame: 2})
+	if enc.Len() != PageRecordSize {
+		t.Fatalf("EncodePage wrote %d bytes, PageRecordSize is %d", enc.Len(), PageRecordSize)
 	}
 }

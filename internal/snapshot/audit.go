@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"multiclock/internal/snapcodec"
 )
 
 // The divergence auditor. A harness running with -audit captures the system
@@ -27,24 +29,34 @@ type AuditRecord struct {
 	Hashes map[string]string `json:"hashes"`
 }
 
-// AuditFingerprint builds one record from a capture of the target.
+// AuditFingerprint builds one record from a capture walk of the target. It
+// hashes each section as it is encoded, into one reused scratch buffer, and
+// keeps none of the payloads; the hashes equal the section checksums a
+// Capture at the same boundary would store.
 func AuditFingerprint(t *Target) (AuditRecord, error) {
-	f, err := Capture(t, nil)
-	if err != nil {
+	h := hashSink{hashes: make(map[string]string, len(SectionOrder)-1)}
+	if err := capture(t, nil, &h); err != nil {
 		return AuditRecord{}, err
 	}
-	rec := AuditRecord{
-		Op:     t.M.Ops,
-		VTime:  int64(t.M.Clock.Now()),
-		Hashes: make(map[string]string, len(f.Sections())),
+	return AuditRecord{Op: t.M.Ops, VTime: int64(t.M.Clock.Now()), Hashes: h.hashes}, nil
+}
+
+// hashSink records each state section's fnv-1a checksum, hex-encoded.
+type hashSink struct {
+	scratch snapcodec.Encoder
+	hashes  map[string]string
+}
+
+func (h *hashSink) encoder() *snapcodec.Encoder {
+	h.scratch.Reset()
+	return &h.scratch
+}
+
+func (h *hashSink) section(name string, payload []byte) {
+	if name == SecConfig {
+		return // caller-opaque, not state
 	}
-	for _, name := range f.Sections() {
-		if name == SecConfig {
-			continue // caller-opaque, not state
-		}
-		rec.Hashes[name] = fmt.Sprintf("%016x", f.Hash(name))
-	}
-	return rec, nil
+	h.hashes[name] = fmt.Sprintf("%016x", fnvSum(payload))
 }
 
 // AuditWriter appends records to a JSONL stream.

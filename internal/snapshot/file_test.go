@@ -3,6 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"testing"
 )
 
@@ -118,4 +119,75 @@ func TestFileDuplicateSectionPanics(t *testing.T) {
 	f := NewFile()
 	f.AddSection(SecMem, nil)
 	f.AddSection(SecMem, nil)
+}
+
+func TestFnvMatchesStdlib(t *testing.T) {
+	data := make([]byte, 4099)
+	for i := range data {
+		data[i] = byte(i*131 + i>>3)
+	}
+	for _, b := range [][]byte{nil, data[:1], data[:17], data} {
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := fnvSum(b), h.Sum64(); got != want {
+			t.Fatalf("fnvSum over %d bytes = %x, hash/fnv %x", len(b), got, want)
+		}
+		h1, h2 := fnvAdd2(fnvAdd(fnvOffset64, data[:5]), fnvOffset64, b)
+		if h1 != fnvAdd(fnvAdd(fnvOffset64, data[:5]), b) || h2 != fnvSum(b) {
+			t.Fatalf("fnvAdd2 over %d bytes disagrees with two fnvAdd chains", len(b))
+		}
+	}
+}
+
+// seal frames sections by hand (name, payload, stored sum) and appends a
+// valid whole-file checksum, so each section-level check can be reached.
+func seal(sections ...any) []byte {
+	le := binary.LittleEndian
+	buf := append([]byte(Magic), le.AppendUint32(nil, Version)...)
+	buf = le.AppendUint32(buf, uint32(len(sections)/3))
+	for i := 0; i+2 < len(sections); i += 3 {
+		name, payload, sum := sections[i].(string), sections[i+1].([]byte), sections[i+2].(uint64)
+		buf = le.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
+		buf = le.AppendUint32(buf, uint32(len(payload)))
+		buf = append(buf, payload...)
+		buf = le.AppendUint64(buf, sum)
+	}
+	return le.AppendUint64(buf, fnvSum(buf))
+}
+
+// TestDecodeSectionChecksUnderValidFileSum: with the whole-file checksum
+// intact, a bad section sum, a repeated section and a framing cut are each
+// caught, in section order.
+func TestDecodeSectionChecksUnderValidFileSum(t *testing.T) {
+	a, b := []byte("alpha"), []byte("beta")
+	var ce *CorruptError
+	_, err := Decode(seal(SecClock, a, fnvSum(a), SecMem, b, fnvSum(a)))
+	if !errors.As(err, &ce) || ce.Section != SecMem {
+		t.Fatalf("bad mem sum: err = %v, want CorruptError{mem}", err)
+	}
+	_, err = Decode(seal(SecClock, a, fnvSum(a), SecClock, a, fnvSum(a)))
+	if !errors.As(err, &ce) || ce.Section != SecClock {
+		t.Fatalf("repeated section: err = %v, want CorruptError{clock}", err)
+	}
+	// The count claims one more section than the body frames: the first
+	// section's bad sum is reported before the truncation.
+	data := seal(SecClock, a, fnvSum(b), SecMem, b, fnvSum(b))
+	data = data[:len(data)-8]
+	binary.LittleEndian.PutUint32(data[len(Magic)+4:], 3)
+	data = binary.LittleEndian.AppendUint64(data, fnvSum(data))
+	if _, err = Decode(data); !errors.As(err, &ce) || ce.Section != SecClock {
+		t.Fatalf("bad clock sum before a cut: err = %v, want CorruptError{clock}", err)
+	}
+	data = seal(SecClock, a, fnvSum(a), SecMem, b, fnvSum(b))
+	data = data[:len(data)-8]
+	binary.LittleEndian.PutUint32(data[len(Magic)+4:], 3)
+	data = binary.LittleEndian.AppendUint64(data, fnvSum(data))
+	if _, err = Decode(data); !errors.Is(err, ErrTruncatedFile) {
+		t.Fatalf("framing cut: err = %v, want ErrTruncatedFile", err)
+	}
+	f, err := Decode(seal(SecClock, a, fnvSum(a), SecMem, b, fnvSum(b)))
+	if err != nil || f.Hash(SecMem) != fnvSum(b) {
+		t.Fatalf("valid container: err = %v", err)
+	}
 }

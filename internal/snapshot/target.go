@@ -29,66 +29,91 @@ type Target struct {
 // targets writes whatever it needs to rebuild (and cross-check) an identical
 // pristine system before Restore.
 func Capture(t *Target, config []byte) (*File, error) {
+	f := NewFile()
+	if err := capture(t, config, (*fileSink)(f)); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// sectionSink receives the sections of one capture walk in SectionOrder.
+type sectionSink interface {
+	// encoder returns an empty encoder for the next section's payload.
+	encoder() *snapcodec.Encoder
+	// section takes one finished payload. The payload is only valid until
+	// the next encoder call.
+	section(name string, payload []byte)
+}
+
+// fileSink keeps every payload in a container.
+type fileSink File
+
+func (s *fileSink) encoder() *snapcodec.Encoder { return snapcodec.NewEncoder() }
+
+func (s *fileSink) section(name string, payload []byte) { (*File)(s).AddSection(name, payload) }
+
+// capture is the one walk over a target's state: every section in
+// SectionOrder, each encoded by its subsystem into the sink's encoder.
+// Capture keeps the payloads; AuditFingerprint hashes them from one reused
+// scratch buffer.
+func capture(t *Target, config []byte, sink sectionSink) error {
 	if n := t.M.Clock.NonDaemonPending(); n != 0 {
-		return nil, &NotQuiescentError{Pending: n}
+		return &NotQuiescentError{Pending: n}
 	}
 	ps, ok := t.M.Policy.(machine.StateSnapshotter)
 	if !ok {
-		return nil, &UnsupportedPolicyError{Policy: t.M.Policy.Name()}
+		return &UnsupportedPolicyError{Policy: t.M.Policy.Name()}
 	}
-
-	f := NewFile()
-	f.AddSection(SecConfig, config)
-	f.AddSection(SecClock, encodeClock(t.M.Clock))
-
-	enc := snapcodec.NewEncoder()
-	t.M.Mem.SnapshotState(enc)
-	f.AddSection(SecMem, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.M.SnapshotLRUState(enc)
-	f.AddSection(SecLRU, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.M.SnapshotMachineState(enc)
-	f.AddSection(SecMachine, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	enc.Bool(t.M.Faults != nil)
-	if t.M.Faults != nil {
-		t.M.Faults.SnapshotState(enc)
-	}
-	f.AddSection(SecFault, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	enc.String(t.M.Policy.Name())
-	if err := ps.SnapshotState(enc); err != nil {
-		return nil, err
-	}
-	f.AddSection(SecPolicy, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.Store.SnapshotState(enc)
-	f.AddSection(SecStore, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.Client.SnapshotState(enc)
-	enc.Bool(t.Run != nil)
-	if t.Run != nil {
-		if err := t.Run.SnapshotState(enc); err != nil {
-			return nil, err
+	for _, name := range SectionOrder {
+		if name == SecConfig {
+			sink.section(name, config)
+			continue
 		}
+		enc := sink.encoder()
+		if err := encodeSection(t, ps, name, enc); err != nil {
+			return err
+		}
+		sink.section(name, enc.Bytes())
 	}
-	f.AddSection(SecWorkload, enc.Bytes())
+	return nil
+}
 
-	enc = snapcodec.NewEncoder()
-	enc.Bool(t.Metrics != nil)
-	if t.Metrics != nil {
-		t.Metrics.SnapshotState(enc)
+// encodeSection writes one state section of the target.
+func encodeSection(t *Target, ps machine.StateSnapshotter, name string, enc *snapcodec.Encoder) error {
+	switch name {
+	case SecClock:
+		encodeClock(t.M.Clock, enc)
+	case SecMem:
+		t.M.Mem.SnapshotState(enc)
+	case SecLRU:
+		t.M.SnapshotLRUState(enc)
+	case SecMachine:
+		t.M.SnapshotMachineState(enc)
+	case SecFault:
+		enc.Bool(t.M.Faults != nil)
+		if t.M.Faults != nil {
+			t.M.Faults.SnapshotState(enc)
+		}
+	case SecPolicy:
+		enc.String(t.M.Policy.Name())
+		return ps.SnapshotState(enc)
+	case SecStore:
+		t.Store.SnapshotState(enc)
+	case SecWorkload:
+		t.Client.SnapshotState(enc)
+		enc.Bool(t.Run != nil)
+		if t.Run != nil {
+			return t.Run.SnapshotState(enc)
+		}
+	case SecMetrics:
+		enc.Bool(t.Metrics != nil)
+		if t.Metrics != nil {
+			t.Metrics.SnapshotState(enc)
+		}
+	default:
+		panic("snapshot: no encoder for section " + name)
 	}
-	f.AddSection(SecMetrics, enc.Bytes())
-
-	return f, nil
+	return nil
 }
 
 // Restore rebuilds a saved system's mutable state onto a pristine target of
@@ -125,8 +150,8 @@ func Restore(t *Target, f *File) error {
 		return wrapSection(SecMachine, err)
 	}
 
-	payload, _ := f.Section(SecClock)
-	if payload == nil {
+	payload, ok := f.Section(SecClock)
+	if !ok {
 		return &CorruptError{Section: SecClock, Err: errors.New("section missing")}
 	}
 	if err := restoreClock(t.M.Clock, payload); err != nil {
@@ -175,8 +200,7 @@ func Restore(t *Target, f *File) error {
 }
 
 // encodeClock serializes the virtual clock and every daemon's armed state.
-func encodeClock(c *sim.Clock) []byte {
-	enc := snapcodec.NewEncoder()
+func encodeClock(c *sim.Clock, enc *snapcodec.Encoder) {
 	enc.I64(int64(c.Now()))
 	enc.U64(c.Seq())
 	ds := c.Daemons()
@@ -190,7 +214,6 @@ func encodeClock(c *sim.Clock) []byte {
 		enc.I64(int64(st.At))
 		enc.U64(st.Seq)
 	}
-	return enc.Bytes()
 }
 
 // restoreClock re-arms each daemon at its saved (deadline, sequence) — start

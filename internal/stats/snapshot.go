@@ -14,6 +14,7 @@ import (
 
 // SnapshotState encodes the histogram.
 func (h *Histogram) SnapshotState(enc *snapcodec.Encoder) {
+	enc.Grow(8 + 8*len(h.samples) + 8 + 1)
 	enc.Int(len(h.samples))
 	for _, v := range h.samples {
 		enc.U64(math.Float64bits(v))
