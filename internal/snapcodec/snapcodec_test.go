@@ -101,3 +101,35 @@ func TestInvalidBool(t *testing.T) {
 		t.Fatal("Bool accepted byte 9")
 	}
 }
+
+// TestRawAliasesInput: Raw returns a view of the decoder's input, not a copy.
+func TestRawAliasesInput(t *testing.T) {
+	e := NewEncoder()
+	e.Raw([]byte{1, 2, 3})
+	b := e.Bytes()
+	got := NewDecoder(b).Raw()
+	b[len(b)-1] = 9
+	if got[2] != 9 {
+		t.Fatal("Raw copied its payload; it must alias the input")
+	}
+}
+
+// TestGrowAndReset: Grow reserves room so the encodes it covers never
+// reallocate, and Reset reuses the buffer.
+func TestGrowAndReset(t *testing.T) {
+	e := NewEncoder()
+	e.U8(1)
+	e.Grow(64)
+	base := &e.Bytes()[0]
+	for i := 0; i < 8; i++ {
+		e.U64(uint64(i))
+	}
+	if e.Len() != 65 || &e.Bytes()[0] != base {
+		t.Fatalf("encodes within Grow(64) reallocated (len %d)", e.Len())
+	}
+	e.Reset()
+	e.U32(7)
+	if e.Len() != 4 || &e.Bytes()[0] != base {
+		t.Fatal("Reset did not reuse the buffer")
+	}
+}
