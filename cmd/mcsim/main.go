@@ -62,7 +62,7 @@ type config struct {
 }
 
 func main() {
-	pol := flag.String("policy", "multiclock", "comma-separated list of static | multiclock | multiclock-gated | nimble | nimble-gated | at-cpm | at-opm | memory-mode | thermostat | amp-{lru,lfu,random} | nomad | s3fifo")
+	pol := flag.String("policy", "multiclock", "comma-separated list of "+policyList())
 	workload := flag.String("workload", "A", "YCSB workload (A-F, W)")
 	sequence := flag.Bool("sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
 	gapbs := flag.String("gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")
@@ -460,4 +460,13 @@ func runGAPBS(w io.Writer, sys *multiclock.System, cfg config) error {
 	}
 	fmt.Fprintf(w, "kernel time: %v (virtual)\n", sys.Elapsed()-start)
 	return nil
+}
+
+// policyList renders every selectable policy name for the -policy usage.
+func policyList() string {
+	var names []string
+	for _, p := range append(multiclock.Policies(), multiclock.ExtensionPolicies()...) {
+		names = append(names, string(p))
+	}
+	return strings.Join(names, " | ")
 }

@@ -106,66 +106,110 @@ var SystemNames = []string{"static", "multiclock", "nimble", "at-cpm", "at-opm"}
 // MemModeNames lists the Fig. 7 comparison set.
 var MemModeNames = []string{"static", "multiclock", "memory-mode"}
 
+// policyEntry is one selectable tiering policy.
+type policyEntry struct {
+	name string
+	// paper marks the systems the paper evaluates (§V); the rest are the
+	// extensions this reproduction adds.
+	paper bool
+	build func(interval sim.Duration) machine.Policy
+}
+
+// policyTable is the one registry of selectable policies, the paper's
+// systems first. NewPolicy, the facade's Policies/ExtensionPolicies/
+// ParsePolicy and mcsim's -policy usage all read it.
+var policyTable = []policyEntry{
+	{"static", true, func(sim.Duration) machine.Policy { return policy.NewStatic() }},
+	{"multiclock", true, func(iv sim.Duration) machine.Policy { return multiClock(iv, false) }},
+	{"nimble", true, func(iv sim.Duration) machine.Policy { return nimble(iv, false) }},
+	{"at-cpm", true, func(iv sim.Duration) machine.Policy { return autoTiering(iv, policy.CPM) }},
+	{"at-opm", true, func(iv sim.Duration) machine.Policy { return autoTiering(iv, policy.OPM) }},
+	{"memory-mode", true, func(sim.Duration) machine.Policy { return policy.NewMemoryMode() }},
+	{"thermostat", false, func(iv sim.Duration) machine.Policy {
+		cfg := policy.DefaultThermostatConfig()
+		cfg.ScanInterval = iv
+		return policy.NewThermostat(cfg)
+	}},
+	{"amp-lfu", false, func(iv sim.Duration) machine.Policy { return amp(iv, policy.AMPLFU) }},
+	{"amp-lru", false, func(iv sim.Duration) machine.Policy { return amp(iv, policy.AMPLRU) }},
+	{"amp-random", false, func(iv sim.Duration) machine.Policy { return amp(iv, policy.AMPRandom) }},
+	{"nomad", false, func(iv sim.Duration) machine.Policy {
+		cfg := policy.DefaultNomadConfig()
+		cfg.ScanInterval = iv
+		return policy.NewNomad(cfg)
+	}},
+	{"s3fifo", false, func(iv sim.Duration) machine.Policy {
+		cfg := policy.DefaultS3FIFOConfig()
+		cfg.ScanInterval = iv
+		return policy.NewS3FIFO(cfg)
+	}},
+	{"multiclock-gated", false, func(iv sim.Duration) machine.Policy { return multiClock(iv, true) }},
+	{"nimble-gated", false, func(iv sim.Duration) machine.Policy { return nimble(iv, true) }},
+}
+
+func multiClock(interval sim.Duration, gated bool) machine.Policy {
+	cfg := core.DefaultConfig()
+	cfg.ScanInterval = interval
+	if gated {
+		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
+	}
+	return core.New(cfg)
+}
+
+func nimble(interval sim.Duration, gated bool) machine.Policy {
+	cfg := policy.DefaultNimbleConfig()
+	cfg.ScanInterval = interval
+	if gated {
+		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
+	}
+	return policy.NewNimble(cfg)
+}
+
+func autoTiering(interval sim.Duration, mode policy.ATMode) machine.Policy {
+	cfg := policy.DefaultATConfig(mode)
+	cfg.ScanInterval = interval
+	return policy.NewAutoTiering(cfg)
+}
+
+func amp(interval sim.Duration, sel policy.AMPSelector) machine.Policy {
+	cfg := policy.DefaultAMPConfig(sel)
+	cfg.ScanInterval = interval
+	return policy.NewAMP(cfg)
+}
+
+// PolicyNames lists the selectable policy names in registry order: the
+// paper's systems when paper is true, the extensions otherwise.
+func PolicyNames(paper bool) []string {
+	var out []string
+	for _, e := range policyTable {
+		if e.paper == paper {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}
+
 // NewPolicy constructs a policy by name with the given daemon interval;
 // a non-positive interval means DefaultScanInterval.
 func NewPolicy(name string, interval sim.Duration) (machine.Policy, error) {
 	if interval <= 0 {
 		interval = DefaultScanInterval
 	}
-	switch name {
-	case "static":
-		return policy.NewStatic(), nil
-	case "multiclock":
-		cfg := core.DefaultConfig()
-		cfg.ScanInterval = interval
-		return core.New(cfg), nil
-	case "nimble":
-		cfg := policy.DefaultNimbleConfig()
-		cfg.ScanInterval = interval
-		return policy.NewNimble(cfg), nil
-	case "at-cpm", "at-opm":
-		mode := policy.CPM
-		if name == "at-opm" {
-			mode = policy.OPM
+	for _, e := range policyTable {
+		if e.name == name {
+			return e.build(interval), nil
 		}
-		cfg := policy.DefaultATConfig(mode)
-		cfg.ScanInterval = interval
-		return policy.NewAutoTiering(cfg), nil
-	case "memory-mode":
-		return policy.NewMemoryMode(), nil
-	case "thermostat":
-		cfg := policy.DefaultThermostatConfig()
-		cfg.ScanInterval = interval
-		return policy.NewThermostat(cfg), nil
-	case "amp-lru", "amp-lfu", "amp-random":
-		sel, err := policy.DefaultAMPName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfg := policy.DefaultAMPConfig(sel)
-		cfg.ScanInterval = interval
-		return policy.NewAMP(cfg), nil
-	case "nomad":
-		cfg := policy.DefaultNomadConfig()
-		cfg.ScanInterval = interval
-		return policy.NewNomad(cfg), nil
-	case "s3fifo":
-		cfg := policy.DefaultS3FIFOConfig()
-		cfg.ScanInterval = interval
-		return policy.NewS3FIFO(cfg), nil
-	case "multiclock-gated":
-		cfg := core.DefaultConfig()
-		cfg.ScanInterval = interval
-		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
-		return core.New(cfg), nil
-	case "nimble-gated":
-		cfg := policy.DefaultNimbleConfig()
-		cfg.ScanInterval = interval
-		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
-		return policy.NewNimble(cfg), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown system %q", name)
 	}
+	return nil, fmt.Errorf("bench: unknown system %q", name)
+}
+
+// mustPolicy is NewPolicy for the experiments' own fixed policy names.
+func mustPolicy(name string, interval sim.Duration) machine.Policy {
+	p, err := NewPolicy(name, interval)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // scale bundles the size parameters one Options implies.

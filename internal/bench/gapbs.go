@@ -63,10 +63,7 @@ func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale, seed
 // gapbsKernelTime builds a fresh system, loads the graph, runs one kernel,
 // and returns its mean trial time in virtual seconds.
 func gapbsKernelTime(sc scale, seed uint64, system, kernel string) float64 {
-	p, err := NewPolicy(system, sc.Interval)
-	if err != nil {
-		panic(err)
-	}
+	p := mustPolicy(system, sc.Interval)
 	gsc := sc
 	gsc.DRAMPages = sc.GraphDRAMPages
 	gsc.PMPages = sc.GraphPMPages

@@ -31,7 +31,7 @@ func Fig1(opt Options) string {
 	duration := 20 * sc.Interval
 	sections := runner.Map(opt.workers(), trace.Patterns, func(_ int, preset trace.Pattern) string {
 		p := scalePattern(preset, duration)
-		pol, _ := NewPolicy("static", sc.Interval)
+		pol := mustPolicy("static", sc.Interval)
 		m := machineFor(sc, opt.Seed, pol)
 		as := m.NewSpace()
 
@@ -68,7 +68,7 @@ func Fig2(opt Options) string {
 	duration := 24 * sc.Interval
 	rows := runner.Map(opt.workers(), trace.Patterns, func(_ int, preset trace.Pattern) []string {
 		p := scalePattern(preset, duration)
-		pol, _ := NewPolicy("static", sc.Interval)
+		pol := mustPolicy("static", sc.Interval)
 		m := machineFor(sc, opt.Seed, pol)
 		as := m.NewSpace()
 		wf := trace.NewWindowFreq(2*sc.Interval, 2*sc.Interval)

@@ -44,10 +44,7 @@ func AblationMultiProc(opt Options) string {
 // loops; their throughputs are measured over the same virtual span by
 // interleaving operations.
 func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
-	p, err := NewPolicy(system, sc.Interval)
-	if err != nil {
-		panic(err)
-	}
+	p := mustPolicy(system, sc.Interval)
 	m := machineFor(sc, seed, p)
 
 	const wset = 960 // pages per process; the early process alone ≈ DRAM

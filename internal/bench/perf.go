@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"multiclock/internal/graph"
-	"multiclock/internal/kvstore"
 	"multiclock/internal/machine"
 	"multiclock/internal/sim"
 	"multiclock/internal/trace"
@@ -88,17 +87,8 @@ func (r *PerfResult) fillRates(wall time.Duration) {
 
 // perfYCSB measures one YCSB workload (load + run) on multiclock.
 func perfYCSB(sc scale, seed uint64, w ycsb.Workload) PerfResult {
-	p, err := NewPolicy("multiclock", sc.Interval)
-	if err != nil {
-		panic(err)
-	}
-	m := machineFor(sc, seed, p)
-	storeCfg := kvstore.DefaultConfig(int(sc.Records))
-	storeCfg.ItemTouches = 8
-	store := kvstore.New(m, storeCfg)
-	clientCfg := ycsb.DefaultClientConfig(sc.Records)
-	clientCfg.Seed = seed ^ 0x9c5b
-	client := ycsb.NewClient(m, store, clientCfg)
+	p := mustPolicy("multiclock", sc.Interval)
+	m, _, client := ycsbCell(sc, seed, p, "", false, seed^0x9c5b)
 	res := measure("ycsb-"+strings.ToLower(w.Name), m, func() int64 {
 		client.Load()
 		client.Run(w, sc.OpsPerWorkload)
@@ -110,10 +100,7 @@ func perfYCSB(sc scale, seed uint64, w ycsb.Workload) PerfResult {
 
 // perfGAPBS measures graph build + PageRank on multiclock.
 func perfGAPBS(sc scale, seed uint64) PerfResult {
-	p, err := NewPolicy("multiclock", sc.Interval)
-	if err != nil {
-		panic(err)
-	}
+	p := mustPolicy("multiclock", sc.Interval)
 	gsc := sc
 	gsc.DRAMPages = sc.GraphDRAMPages
 	gsc.PMPages = sc.GraphPMPages
@@ -135,14 +122,8 @@ func perfGAPBS(sc scale, seed uint64) PerfResult {
 // perfKVStore measures a raw store churn loop: uniform get/set/delete with
 // no distribution machinery, so the access engine dominates the wall clock.
 func perfKVStore(sc scale, seed uint64) PerfResult {
-	p, err := NewPolicy("multiclock", sc.Interval)
-	if err != nil {
-		panic(err)
-	}
-	m := machineFor(sc, seed, p)
-	storeCfg := kvstore.DefaultConfig(int(sc.Records))
-	storeCfg.ItemTouches = 8
-	store := kvstore.New(m, storeCfg)
+	p := mustPolicy("multiclock", sc.Interval)
+	m, store, _ := ycsbCell(sc, seed, p, "", false, 0)
 	rng := sim.NewRNG(seed ^ 0x6b76)
 	res := measure("kvstore", m, func() int64 {
 		for i := int64(0); i < sc.Records; i++ {
@@ -172,10 +153,7 @@ func perfKVStore(sc scale, seed uint64) PerfResult {
 // population with heavy cache-hit traffic, the simulator's most
 // access-engine-bound shape.
 func perfMotivation(sc scale, seed uint64, duration sim.Duration) PerfResult {
-	p, err := NewPolicy("multiclock", sc.Interval)
-	if err != nil {
-		panic(err)
-	}
+	p := mustPolicy("multiclock", sc.Interval)
 	gsc := sc
 	gsc.DRAMPages = 256
 	gsc.PMPages = 2048

@@ -104,36 +104,21 @@ func newPristine(cfg SoakConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	mcfg := machine.DefaultConfig()
-	mcfg.Mem.DRAMNodes = []int{cfg.DRAMPages}
-	mcfg.Mem.PMNodes = []int{cfg.PMPages}
+	// machineFor panics on a bad tier spec; a session reports it.
 	if cfg.Tiers != "" {
-		top, err := cliutil.ParseTierSpec(cfg.Tiers)
-		if err != nil {
+		if _, err := cliutil.ParseTierSpec(cfg.Tiers); err != nil {
 			return nil, fmt.Errorf("bench: soak tier spec: %w", err)
 		}
-		mcfg.Mem.Topology = &top
 	}
-	mcfg.Seed = cfg.Seed
-	mcfg.OpCost = 1 * sim.Microsecond
-	mcfg.Faults = cfg.Chaos
-	m := machine.New(mcfg, p)
-
-	s := &Session{Cfg: cfg, M: m, Policy: p}
+	sc := scale{DRAMPages: cfg.DRAMPages, PMPages: cfg.PMPages, Tiers: cfg.Tiers, Chaos: cfg.Chaos, Records: cfg.Records}
+	m, store, client := ycsbCell(sc, cfg.Seed, p, "", false, cfg.Seed^0x9c5b)
+	s := &Session{Cfg: cfg, M: m, Policy: p, Store: store, Client: client}
 	if cfg.Metrics {
 		s.Reg = metrics.NewRegistry(cfg.TraceEvents)
 		s.collector = metrics.NewCollector(s.Reg).Bind(m)
 		m.SetMetrics(s.collector)
 		m.Attach(s.collector)
 	}
-
-	storeCfg := kvstore.DefaultConfig(int(cfg.Records))
-	storeCfg.ItemTouches = 8
-	s.Store = kvstore.New(m, storeCfg)
-
-	clientCfg := ycsb.DefaultClientConfig(cfg.Records)
-	clientCfg.Seed = cfg.Seed ^ 0x9c5b
-	s.Client = ycsb.NewClient(m, s.Store, clientCfg)
 	return s, nil
 }
 

@@ -339,6 +339,16 @@ func TestSoakUnsupportedPolicy(t *testing.T) {
 	}
 }
 
+// TestSoakBadTierSpec: a malformed tier spec is an error from NewSession,
+// not a panic in the machine builder.
+func TestSoakBadTierSpec(t *testing.T) {
+	cfg := testSoakConfig("multiclock", false)
+	cfg.Tiers = "dram:1024,bogus:2048"
+	if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), "tier spec") {
+		t.Fatalf("NewSession = %v, want a tier spec error", err)
+	}
+}
+
 // TestSoakRestoreConfigMismatch: restoring a snapshot onto a target built
 // with a different configuration is a typed mismatch, not a partial restore.
 func TestSoakRestoreConfigMismatch(t *testing.T) {

@@ -274,16 +274,6 @@ func (mc *MultiClock) Stop() {
 	}
 }
 
-// SetScanInterval retunes the wakeup period of every kpromoted thread,
-// taking effect from each thread's next wakeup (used by the Fig. 10
-// sensitivity sweep).
-func (mc *MultiClock) SetScanInterval(d sim.Duration) {
-	mc.cfg.ScanInterval = d
-	for _, dm := range mc.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // kpromoted is one wakeup of the per-node daemon: scan the lists to update
 // page states from the hardware reference bits, then migrate everything on
 // the promote list to the next-higher tier (§III-B). It returns the number

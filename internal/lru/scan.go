@@ -194,16 +194,11 @@ func (v *Vec) BalanceActive(ratio float64, budget int) int {
 	return moved
 }
 
-// DemoteCandidatesCold isolates up to max unreferenced pages from the
-// inactive tails without spending any reference state: referenced pages
-// are skipped, not aged. Used by repeat reclaim calls within one virtual
-// instant, where no application access could have re-referenced anything
-// since the last aging pass.
-func (v *Vec) DemoteCandidatesCold(max int) []*mem.Page {
-	return v.AppendDemoteCandidatesCold(nil, max)
-}
-
-// AppendDemoteCandidatesCold is DemoteCandidatesCold appending into buf.
+// AppendDemoteCandidatesCold isolates up to max unreferenced pages from the
+// inactive tails, appending them to buf, without spending any reference
+// state: referenced pages are skipped, not aged. Used by repeat reclaim
+// calls within one virtual instant, where no application access could have
+// re-referenced anything since the last aging pass.
 func (v *Vec) AppendDemoteCandidatesCold(buf []*mem.Page, max int) []*mem.Page {
 	base := len(buf)
 	for _, k := range [...]Kind{InactiveAnon, InactiveFile} {

@@ -298,23 +298,12 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 	return pg
 }
 
-// AccessBatch performs the accesses in order, each with the full per-access
-// semantics of AccessN: faults, hint costs, cache filtering, observer
-// callbacks, and an individual clock advance per element. Batching amortizes
-// driver-loop overhead; it never coalesces charges, so a batch produces
-// byte-identical results to the equivalent AccessN loop. Returns the page of
-// the last access (nil for an empty batch).
-func (m *Machine) AccessBatch(as *pagetable.AddressSpace, vpns []pagetable.VPN, write bool, lines int) *mem.Page {
-	var pg *mem.Page
-	for _, vpn := range vpns {
-		pg = m.AccessN(as, vpn, write, lines)
-	}
-	return pg
-}
-
-// AccessRange touches n consecutive pages starting at base, with AccessBatch
-// semantics (one full-cost access per page, in ascending order). It is the
-// natural driver for sequential record touches and initialization sweeps.
+// AccessRange touches n consecutive pages starting at base, in ascending
+// order, each with the full per-access semantics of AccessN: faults, hint
+// costs, cache filtering, observer callbacks and an individual clock
+// advance. It never coalesces charges, so it is byte-identical to the
+// equivalent AccessN loop. It is the driver for sequential record touches
+// and initialization sweeps.
 func (m *Machine) AccessRange(as *pagetable.AddressSpace, base pagetable.VPN, n int, write bool, lines int) *mem.Page {
 	var pg *mem.Page
 	for i := 0; i < n; i++ {

@@ -53,15 +53,6 @@ func (m *Machine) Attach(o Observer) (detach func()) {
 	}
 }
 
-// Observers returns the currently attached observers in attach order.
-func (m *Machine) Observers() []Observer {
-	out := make([]Observer, len(m.observers))
-	for i, s := range m.observers {
-		out[i] = s.o
-	}
-	return out
-}
-
 // rebuildObserver recompiles the fan-out target the hot path dispatches to:
 // nil with no observers (the proven no-op configuration), the observer
 // itself with one, a fan-out list otherwise.

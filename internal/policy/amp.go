@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 
 	"multiclock/internal/lru"
@@ -210,20 +209,6 @@ func (a *AMP) rebalance() {
 		for _, s := range dramPages {
 			s.pg.Freq /= 2
 		}
-	}
-}
-
-// DefaultAMPName parses "amp-lru" style names.
-func DefaultAMPName(name string) (AMPSelector, error) {
-	switch name {
-	case "amp-lru":
-		return AMPLRU, nil
-	case "amp-lfu":
-		return AMPLFU, nil
-	case "amp-random":
-		return AMPRandom, nil
-	default:
-		return 0, fmt.Errorf("policy: unknown AMP selector %q", name)
 	}
 }
 

@@ -65,14 +65,6 @@ func (nb *Nimble) Name() string {
 	return "nimble"
 }
 
-// SetScanInterval retunes the daemon period (Fig. 10 sweep).
-func (nb *Nimble) SetScanInterval(d sim.Duration) {
-	nb.cfg.ScanInterval = d
-	for _, dm := range nb.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // Attach starts the per-node scanning daemon.
 func (nb *Nimble) Attach(m *machine.Machine) {
 	nb.Base.Attach(m)

@@ -78,14 +78,6 @@ func NewNomad(cfg NomadConfig) *Nomad {
 // Name implements machine.Policy.
 func (nd *Nomad) Name() string { return "nomad" }
 
-// SetScanInterval retunes the daemon period (interval sweeps).
-func (nd *Nomad) SetScanInterval(d sim.Duration) {
-	nd.cfg.ScanInterval = d
-	for _, dm := range nd.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // Attach starts the per-node scanning daemon.
 func (nd *Nomad) Attach(m *machine.Machine) {
 	nd.Base.Attach(m)

@@ -155,18 +155,6 @@ func TestNimbleStop(t *testing.T) {
 	}
 }
 
-func TestNimbleSetScanInterval(t *testing.T) {
-	nb := NewNimble(DefaultNimbleConfig())
-	m := newMachine(64, 64, nb)
-	as := m.NewSpace()
-	fillOver(m, as, 32)
-	nb.SetScanInterval(100 * sim.Millisecond)
-	m.Compute(1 * sim.Second)
-	if m.Mem.Counters.PagesScanned < 9*32 {
-		t.Fatalf("scanned %d pages; retuned interval not applied", m.Mem.Counters.PagesScanned)
-	}
-}
-
 // --- AutoTiering ---
 
 func TestATDefaults(t *testing.T) {

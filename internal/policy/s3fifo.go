@@ -116,14 +116,6 @@ func NewS3FIFO(cfg S3FIFOConfig) *S3FIFO {
 // Name implements machine.Policy.
 func (s *S3FIFO) Name() string { return "s3fifo" }
 
-// SetScanInterval retunes the daemon period (interval sweeps).
-func (s *S3FIFO) SetScanInterval(d sim.Duration) {
-	s.cfg.ScanInterval = d
-	for _, dm := range s.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // Attach sizes the per-PM-node queues, registers the arrival hook on each
 // PM vec, and starts the per-node daemons.
 func (s *S3FIFO) Attach(m *machine.Machine) {

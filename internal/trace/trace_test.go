@@ -191,19 +191,6 @@ func TestWindowFreqValidation(t *testing.T) {
 	NewWindowFreq(0, sim.Second)
 }
 
-func TestMultiFansOut(t *testing.T) {
-	m := staticMachine(128, 128)
-	as := m.NewSpace()
-	v := as.Mmap(1, false, "x")
-	h1 := NewHeatmap([]pagetable.VPN{v.Start}, []int32{as.ID}, sim.Second)
-	h2 := NewHeatmap([]pagetable.VPN{v.Start}, []int32{as.ID}, sim.Second)
-	m.Attach(Multi{h1, h2})
-	m.Access(as, v.Start, false)
-	if h1.Count(0, 0) != 1 || h2.Count(0, 0) != 1 {
-		t.Fatal("multi did not fan out")
-	}
-}
-
 func TestRunPatternProducesClassedAccesses(t *testing.T) {
 	m := staticMachine(2048, 2048)
 	as := m.NewSpace()

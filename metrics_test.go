@@ -2,8 +2,11 @@ package multiclock
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
+	"multiclock/internal/bench"
 	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
@@ -147,8 +150,22 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %q, %v", p, got, err)
 		}
 	}
-	if _, err := ParsePolicy("clockwork"); err == nil {
-		t.Fatal("unknown policy parsed")
+	for _, bad := range []string{"clockwork", "", "Multiclock", "amp-mru", "gated", "multiclock "} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("unknown policy %q parsed", bad)
+		}
+	}
+	all := append(bench.PolicyNames(true), bench.PolicyNames(false)...)
+	var facade []string
+	for _, p := range append(Policies(), ExtensionPolicies()...) {
+		facade = append(facade, string(p))
+	}
+	if !slices.Equal(facade, all) {
+		t.Fatalf("Policies then ExtensionPolicies = %v, registry %v", facade, all)
+	}
+	_, err := ParsePolicy("clockwork")
+	if want := "(have " + strings.Join(all, ", ") + ")"; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("ParsePolicy error %v does not list the registry %s", err, want)
 	}
 }
 

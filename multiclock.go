@@ -22,6 +22,7 @@ package multiclock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"multiclock/internal/bench"
@@ -79,35 +80,31 @@ const (
 	PolicyNimbleGated Policy = "nimble-gated"
 )
 
-// Policies lists every selectable policy.
-func Policies() []Policy {
-	return []Policy{PolicyStatic, PolicyMultiClock, PolicyNimble, PolicyATCPM, PolicyATOPM, PolicyMemoryMode}
-}
+// Policies lists the tiering systems the paper evaluates (§V), in
+// presentation order.
+func Policies() []Policy { return policies(true) }
 
 // ExtensionPolicies lists the additional baselines this reproduction can
 // run that the paper could not deploy (§II-D): Thermostat-style region
 // tiering, the AMP selector family, and the competitor policies from
 // related work (Nomad shadow tiering, S3-FIFO selection, bandwidth-gated
 // admission control).
-func ExtensionPolicies() []Policy {
-	return []Policy{
-		PolicyThermostat, PolicyAMPLFU, PolicyAMPLRU, PolicyAMPRandom,
-		PolicyNomad, PolicyS3FIFO, PolicyMultiClockGated, PolicyNimbleGated,
+func ExtensionPolicies() []Policy { return policies(false) }
+
+func policies(paper bool) []Policy {
+	var out []Policy
+	for _, name := range bench.PolicyNames(paper) {
+		out = append(out, Policy(name))
 	}
+	return out
 }
 
 // ParsePolicy resolves a policy name (as CLIs accept it) to a Policy,
 // rejecting unknown names with the valid set in the error.
 func ParsePolicy(s string) (Policy, error) {
-	all := append(Policies(), ExtensionPolicies()...)
-	for _, p := range all {
-		if Policy(s) == p {
-			return p, nil
-		}
-	}
-	names := make([]string, len(all))
-	for i, p := range all {
-		names[i] = string(p)
+	names := append(bench.PolicyNames(true), bench.PolicyNames(false)...)
+	if slices.Contains(names, s) {
+		return Policy(s), nil
 	}
 	return "", fmt.Errorf("multiclock: unknown policy %q (have %s)", s, strings.Join(names, ", "))
 }
